@@ -190,6 +190,8 @@ def _cmd_simulate(ns) -> str:
         ladder = finite_snr.SnrLadder(rho_values)
     except ValueError as e:
         raise CliError("bad-ladder", str(e))
+    if ns.draws < 1:
+        raise CliError("bad-draws", f"--draws {ns.draws} must be >= 1")
     tin1, tin2 = finite_snr.tin_slopes(ant, exp, ladder, ns.draws, ns.seed)
     d_sym = reg.symmetric_gdof(ant, exp)
     return json.dumps({

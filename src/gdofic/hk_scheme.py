@@ -8,14 +8,16 @@ between the two worlds is :class:`ChannelInstance`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .core_math import ZERO, f, g, pos_part, rat
-from .region import AntennaProfile, ExponentProfile, Point
+from .core_math import ZERO
+from .region import (AntennaProfile, ExponentProfile, Point, channel_terms,
+                     exact_point)
 
 COND_THRESHOLD = 1e10
 
@@ -187,23 +189,14 @@ def split_constraints(
     parts d_ic = d_i - d_ip:
       C1: private power budget of each user;
       C2: each receiver decodes the interferer's public part as a MAC user;
+      C3: each user's GDoF fits its single-user link, d_i <= min(M_i, N_i);
       C4: own private plus interfering public share the receive space.
     (The joint bound with roles swapped coincides with C2 of the other user.)
     """
     m1, n1, m2, n2 = ant.as_tuple()
     a11, a12, a21, a22 = exp.as_tuple()
-    d1, d2 = rat(point[0]), rat(point[1])
-    b12 = pos_part(a11 - a12)
-    b21 = pos_part(a22 - a21)
-    m12, m21 = min(m1, n2), min(m2, n1)
-    e1, e2 = int(pos_part(m1 - n2)), int(pos_part(m2 - n1))
-
-    f1 = f(n1, (b12, m12), (a11, e1))        # C1 cap, user 1
-    f2 = f(n2, (b21, m21), (a22, e2))        # C1 cap, user 2
-    g1 = f(n2, (a12, m1), (a22, m2))         # MAC at Rx2
-    g2 = f(n1, (a21, m2), (a11, m1))         # MAC at Rx1
-    j1 = g(n1, (a21, m2), (b12, m12), (a11, e1))
-    j2 = g(n2, (a12, m1), (b21, m21), (a22, e2))
+    d1, d2 = exact_point(point)
+    mac_rx2, mac_rx1, priv1, priv2, mix1, mix2 = channel_terms(ant, exp)
 
     one = Fraction(1)
     return [
@@ -211,66 +204,15 @@ def split_constraints(
         (ZERO, -one, ZERO, "d2p >= 0"),
         (one, ZERO, d1, "d1p <= d1"),
         (ZERO, one, d2, "d2p <= d2"),
-        (a11, ZERO, f1, "C1 user 1"),
-        (ZERO, a22, f2, "C1 user 2"),
-        (-a11, ZERO, g1 - a11 * d1 - a22 * d2, "C2 at Rx2"),
-        (ZERO, -a22, g2 - a11 * d1 - a22 * d2, "C2 at Rx1"),
-        (a11, -a22, j1 - a22 * d2, "C4 at Rx1"),
-        (-a11, a22, j2 - a11 * d1, "C4 at Rx2"),
+        (a11, ZERO, priv1, "C1 user 1"),
+        (ZERO, a22, priv2, "C1 user 2"),
+        (-a11, ZERO, mac_rx2 - a11 * d1 - a22 * d2, "C2 at Rx2"),
+        (ZERO, -a22, mac_rx1 - a11 * d1 - a22 * d2, "C2 at Rx1"),
+        (ZERO, ZERO, min(m1, n1) - d1, "C3 user 1"),
+        (ZERO, ZERO, min(m2, n2) - d2, "C3 user 2"),
+        (a11, -a22, mix1 - a22 * d2, "C4 at Rx1"),
+        (-a11, a22, mix2 - a11 * d1, "C4 at Rx2"),
     ]
-
-
-def _solve_box_slab(
-    cons: List[Constraint],
-) -> Optional[Tuple[Fraction, Fraction]]:
-    """Maximize x + y (then x) over the constraint polygon, exactly.
-
-    Axis-aligned constraints are folded into a box; the only remaining
-    normals are +-(a11, -a22), a pair of parallel slab lines, so candidate
-    optima are box corners plus slab-line / box-edge intersections.
-    """
-    xlo, xhi = None, None
-    ylo, yhi = None, None
-    diagonals: List[Constraint] = []
-    for a, b, c, name in cons:
-        if a == 0 and b == 0:
-            if c < 0:
-                return None
-        elif b == 0:
-            bound = c / a
-            if a > 0:
-                xhi = bound if xhi is None else min(xhi, bound)
-            else:
-                xlo = bound if xlo is None else max(xlo, bound)
-        elif a == 0:
-            bound = c / b
-            if b > 0:
-                yhi = bound if yhi is None else min(yhi, bound)
-            else:
-                ylo = bound if ylo is None else max(ylo, bound)
-        else:
-            diagonals.append((a, b, c, name))
-
-    assert None not in (xlo, xhi, ylo, yhi)  # box always closed by d >= 0, d_ip <= d_i
-    if xlo > xhi or ylo > yhi:
-        return None
-
-    candidates = [(xlo, ylo), (xlo, yhi), (xhi, ylo), (xhi, yhi)]
-    for a, b, c, _ in diagonals:
-        for x in (xlo, xhi):
-            candidates.append((x, (c - a * x) / b))
-        for y in (ylo, yhi):
-            candidates.append(((c - b * y) / a, y))
-
-    best: Optional[Tuple[Fraction, Fraction]] = None
-    for x, y in candidates:
-        if not (xlo <= x <= xhi and ylo <= y <= yhi):
-            continue
-        if any(a * x + b * y > c for a, b, c, _ in diagonals):
-            continue
-        if best is None or (x + y, x) > (best[0] + best[1], best[0]):
-            best = (x, y)
-    return best
 
 
 def split_solver(
@@ -278,22 +220,46 @@ def split_solver(
 ) -> DofSplit:
     """Find a private/public GDoF split achieving the given region point.
 
-    Among all feasible splits the one with maximal total private GDoF is
-    returned (ties broken toward user 1).  Raises SplitInfeasible when the
-    reconstructed constraint set admits no split, listing the constraints.
+    Returns the split with maximal total private GDoF, which is unique, or
+    raises SplitInfeasible listing the rows of split_constraints; its C3
+    rows d_i <= min(M_i, N_i) make that happen exactly outside the region.
+    With x = d1p, Y = a22*d2p and L = d1 + a22*d2 (a11 = 1):
+    x in [max(0, L - mac_rx2), min(d1, priv1)],
+    Y in [max(0, L - mac_rx1), min(a22*d2, priv2)] and
+    d1 - mix2 <= x - Y <= mix1 - a22*d2.  The best x for a given Y is
+    min(x_hi, hi + Y), so x + Y/a22 grows strictly in Y: Y* is the largest
+    feasible Y (0 when a22 = 0, where d2p = d2).  All in integers over one
+    common denominator.
     """
-    d1, d2 = rat(point[0]), rat(point[1])
+    d1, d2 = exact_point(point)
     if d1 < 0 or d2 < 0:
         raise ValueError(f"point {point} must be nonnegative")
-    cons = split_constraints(ant, exp, (d1, d2))
-    best = _solve_box_slab(cons)
-    if best is None:
+    a22 = exp.a22
+    terms = channel_terms(ant, exp)
+    den = math.lcm(d1.denominator, d2.denominator * a22.denominator,
+                   *(t.denominator for t in terms))
+    mac_rx2, mac_rx1, priv1, priv2, mix1, mix2 = (
+        t.numerator * (den // t.denominator) for t in terms)
+    x1 = d1.numerator * (den // d1.denominator)
+    w2 = a22.numerator * d2.numerator * (
+        den // (a22.denominator * d2.denominator))  # a22*d2
+    load = x1 + w2
+
+    x_lo, x_hi = max(0, load - mac_rx2), min(x1, priv1)
+    y_lo, y_hi = max(0, load - mac_rx1), min(w2, priv2)
+    lo, hi = x1 - mix2, mix1 - w2
+    y = min(y_hi, x_hi - lo)  # Y*, scaled by den
+    if (d1 > min(ant.m1, ant.n1) or d2 > min(ant.m2, ant.n2)
+            or x_lo > x_hi or lo > hi or y < y_lo or y < x_lo - hi):
         described = [
-            (name, f"{a}*d1p + {b}*d2p <= {c}") for a, b, c, name in cons
+            (name, f"{a}*d1p + {b}*d2p <= {c}")
+            for a, b, c, name in split_constraints(ant, exp, (d1, d2))
         ]
         raise SplitInfeasible((d1, d2), described)
-    x, y = best
-    return DofSplit(d1 - x, x, d2 - y, y)
+    x = min(x_hi, hi + y)
+    d2p = d2 if a22 == 0 else Fraction(y * a22.denominator,
+                                       den * a22.numerator)
+    return DofSplit(Fraction(x1 - x, den), Fraction(x, den), d2 - d2p, d2p)
 
 
 def sample_instance(

@@ -9,6 +9,7 @@ exponents with breakpoint detection.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -104,31 +105,54 @@ class GdofRegion:
     def contains(self, point: Point) -> bool:
         return contains(self, point)
 
+    @functools.cached_property
+    def _int_rows(self) -> Tuple[Tuple[int, int, int], ...]:
+        """Each bound as integers (a, b, c): c1, c2, rhs scaled by the lcm
+        of their denominators, so a*d1 + b*d2 <= c is the same halfplane."""
+        rows = []
+        for b in self.bounds:
+            s = math.lcm(b.c1.denominator, b.c2.denominator, b.rhs.denominator)
+            rows.append(tuple(v.numerator * (s // v.denominator)
+                              for v in (b.c1, b.c2, b.rhs)))
+        return tuple(rows)
+
+
+@functools.lru_cache(maxsize=1024)
+def channel_terms(
+    ant: AntennaProfile, exp: ExponentProfile
+) -> Tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
+    """The six MAC terms (mac_rx2, mac_rx1, priv1, priv2, mix1, mix2).
+
+    They are built from f and g with beta_ij = (a_ii - a_ij)^+,
+    m_ij = min(M_i, N_j) and the null-space dimensions e_i = (M_i - N_j)^+
+    of the cross links; the region bounds and the split constraints both
+    read them from here.
+    """
+    m1, n1, m2, n2 = ant.as_tuple()
+    a11, a12, a21, a22 = exp.as_tuple()
+    b12, b21 = pos_part(a11 - a12), pos_part(a22 - a21)
+    m12, m21 = min(m1, n2), min(m2, n1)
+    e1, e2 = int(pos_part(m1 - n2)), int(pos_part(m2 - n1))
+    return (
+        f(n2, (a12, m1), (a22, m2)),
+        f(n1, (a21, m2), (a11, m1)),
+        f(n1, (b12, m12), (a11, e1)),
+        f(n2, (b21, m21), (a22, e2)),
+        g(n1, (a21, m2), (b12, m12), (a11, e1)),
+        g(n2, (a12, m1), (b21, m21), (a22, e2)),
+    )
+
 
 def region_bounds(ant: AntennaProfile, exp: ExponentProfile) -> List[GdofBound]:
     """The seven bounds of the fundamental GDoF region.
 
-    Right-hand sides are assembled from f and g with beta_ij = (a_ii - a_ij)^+
-    and m_ij = min(M_i, N_j).  The weighted left-hand sides are
-    d1 + a22*d2 (D3-D5), 2*d1 + a22*d2 (D6) and d1 + 2*a22*d2 (D7).
+    Right-hand sides are sums of the MAC terms of :func:`channel_terms`.
+    The weighted left-hand sides are d1 + a22*d2 (D3-D5), 2*d1 + a22*d2 (D6)
+    and d1 + 2*a22*d2 (D7).
     """
     m1, n1, m2, n2 = ant.as_tuple()
-    a11, a12, a21, a22 = exp.as_tuple()
-    b12 = pos_part(a11 - a12)
-    b21 = pos_part(a22 - a21)
-    m12 = min(m1, n2)
-    m21 = min(m2, n1)
-    e1 = int(pos_part(m1 - n2))  # null-space dimensions of the 1->2 cross link
-    e2 = int(pos_part(m2 - n1))
-
-    # Reusable MAC terms.
-    mac_rx2 = f(n2, (a12, m1), (a22, m2))
-    mac_rx1 = f(n1, (a21, m2), (a11, m1))
-    priv1 = f(n1, (b12, m12), (a11, e1))
-    priv2 = f(n2, (b21, m21), (a22, e2))
-    mix1 = g(n1, (a21, m2), (b12, m12), (a11, e1))
-    mix2 = g(n2, (a12, m1), (b21, m21), (a22, e2))
-
+    a22 = exp.a22
+    mac_rx2, mac_rx1, priv1, priv2, mix1, mix2 = channel_terms(ant, exp)
     return [
         GdofBound("D1", ONE, ZERO, Fraction(min(m1, n1))),
         GdofBound("D2", ZERO, ONE, Fraction(min(m2, n2))),
@@ -206,30 +230,37 @@ def region_of(ant: AntennaProfile, exp: ExponentProfile) -> GdofRegion:
     return build_region(region_bounds(ant, exp))
 
 
+def exact_point(point: Point) -> Point:
+    """The coordinates as Fractions; only non-Fractions go through rat()."""
+    x, y = point
+    return (x if isinstance(x, Fraction) else rat(x),
+            y if isinstance(y, Fraction) else rat(y))
+
+
 def contains(region: GdofRegion, point: Point) -> bool:
-    """Exact membership test: nonnegative and inside every bound."""
-    x, y = rat(point[0]), rat(point[1])
-    if x < 0 or y < 0:
+    """Exact membership test: nonnegative and inside every bound, checked
+    on integer rows (a, b, c) as a*xn*yd + b*yn*xd <= c*xd*yd."""
+    x, y = exact_point(point)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    if xn < 0 or yn < 0:
         return False
-    return all(b.holds_at((x, y)) for b in region.bounds)
+    xs, ys, cs = xn * yd, yn * xd, xd * yd
+    for a, b, c in region._int_rows:
+        if a * xs + b * ys > c * cs:
+            return False
+    return True
+
+
+def _symmetric_with_active(bounds: Iterable[GdofBound]) -> Tuple[Fraction, str]:
+    """The least rhs/(c1+c2) over the bounds and the kind of the first bound
+    attaining it: the symmetric GDoF and its active bound."""
+    return min(((b.rhs / (b.c1 + b.c2), b.kind) for b in bounds),
+               key=lambda vk: vk[0])
 
 
 def symmetric_gdof(ant: AntennaProfile, exp: ExponentProfile) -> Fraction:
     """Largest d with (d, d) in the region: min over bounds of rhs/(c1+c2)."""
-    return min(b.rhs / (b.c1 + b.c2) for b in region_bounds(ant, exp))
-
-
-def _symmetric_gdof_with_active(
-    ant: AntennaProfile, exp: ExponentProfile
-) -> Tuple[Fraction, str]:
-    best: Optional[Fraction] = None
-    active = ""
-    for b in region_bounds(ant, exp):
-        v = b.rhs / (b.c1 + b.c2)
-        if best is None or v < best:
-            best, active = v, b.kind
-    assert best is not None
-    return best, active
+    return _symmetric_with_active(region_bounds(ant, exp))[0]
 
 
 def reciprocal(
@@ -284,7 +315,7 @@ def sweep_alpha(
         template = ExponentProfile.symmetric
     alphas = sorted(set(rat(a) for a in grid))
     values: List[Tuple[Fraction, str]] = [
-        _symmetric_gdof_with_active(ant, template(a)) for a in alphas
+        _symmetric_with_active(region_bounds(ant, template(a))) for a in alphas
     ]
 
     points: List[SweepPoint] = []

@@ -128,6 +128,13 @@ class TestSimulate:
         assert code == 1
         assert json.loads(err)["error"] == "bad-ladder"
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_bad_draws(self, capsys, draws):
+        code, out, err = run(capsys, "simulate", "1", "1", "1", "1",
+                             "--alpha", "1,1/2,1/2,1", "--draws", draws)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "bad-draws"
+
 
 class TestClassify:
     def test_regime(self, capsys):

@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from itertools import product
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdofic.hk_scheme import (
     ChannelInstance,
@@ -180,3 +183,156 @@ class TestSplitSolver:
         exp = ExponentProfile(F(1), F(0), F(0), F(1))
         s = split_solver(ant, exp, (F(1, 2), F(1, 2)))
         assert s.d1p == F(1, 2) and s.d2p == F(1, 2)
+
+
+# -- differential and converse checks of the closed-form split solver ---------
+
+def _solve_box_slab(cons) -> Optional[Tuple[F, F]]:
+    """Reference solver: maximize x + y (then x) over the constraint polygon
+    by enumerating candidate vertices.
+
+    Axis-aligned constraints are folded into a box; the only remaining
+    normals are +-(a11, -a22), a pair of parallel slab lines, so candidate
+    optima are box corners plus slab-line / box-edge intersections.
+    """
+    xlo, xhi = None, None
+    ylo, yhi = None, None
+    diagonals: List = []
+    for a, b, c, name in cons:
+        if a == 0 and b == 0:
+            if c < 0:
+                return None
+        elif b == 0:
+            bound = c / a
+            if a > 0:
+                xhi = bound if xhi is None else min(xhi, bound)
+            else:
+                xlo = bound if xlo is None else max(xlo, bound)
+        elif a == 0:
+            bound = c / b
+            if b > 0:
+                yhi = bound if yhi is None else min(yhi, bound)
+            else:
+                ylo = bound if ylo is None else max(ylo, bound)
+        else:
+            diagonals.append((a, b, c, name))
+
+    assert None not in (xlo, xhi, ylo, yhi)
+    if xlo > xhi or ylo > yhi:
+        return None
+
+    candidates = [(xlo, ylo), (xlo, yhi), (xhi, ylo), (xhi, yhi)]
+    for a, b, c, _ in diagonals:
+        for x in (xlo, xhi):
+            candidates.append((x, (c - a * x) / b))
+        for y in (ylo, yhi):
+            candidates.append(((c - b * y) / a, y))
+
+    best = None
+    for x, y in candidates:
+        if not (xlo <= x <= xhi and ylo <= y <= yhi):
+            continue
+        if any(a * x + b * y > c for a, b, c, _ in diagonals):
+            continue
+        if best is None or (x + y, x) > (best[0] + best[1], best[0]):
+            best = (x, y)
+    return best
+
+
+def _reference_split(ant, exp, point) -> Optional[Tuple[F, F, F, F]]:
+    best = _solve_box_slab(split_constraints(ant, exp, point))
+    if best is None:
+        return None
+    return (point[0] - best[0], best[0], point[1] - best[1], best[1])
+
+
+def _split_or_none(ant, exp, point) -> Optional[Tuple[F, F, F, F]]:
+    try:
+        return split_solver(ant, exp, point).as_tuple()
+    except SplitInfeasible:
+        return None
+
+
+A12 = [F(0), F(1, 2), F(1), F(2)]
+A21 = [F(1, 4), F(2, 3), F(3, 2)]
+A22 = [F(0), F(1, 4), F(2, 3), F(1), F(3, 2), F(2)]
+CROSS_PAIRS = list(product(A12, A21))  # a12 != a21 in every pair
+
+
+@pytest.fixture(scope="module")
+def split_corpus():
+    """Every antenna profile 1..3 with every a22 in A22; the (a12, a21) pair
+    rotates so that each (pair, a22) combination occurs for several
+    profiles.  Entries are (antennas, exponents, region)."""
+    corpus = []
+    for i, counts in enumerate(product(range(1, 4), repeat=4)):
+        ant = AntennaProfile(*counts)
+        for j, a22 in enumerate(A22):
+            a12, a21 = CROSS_PAIRS[(5 * i + j) % len(CROSS_PAIRS)]
+            exp = ExponentProfile(F(1), a12, a21, a22)
+            corpus.append((ant, exp, region_of(ant, exp)))
+    return corpus
+
+
+class TestClosedFormSplit:
+    def test_matches_candidate_enumeration(self, split_corpus):
+        grid = [F(3 * k, 4) for k in range(5)]  # 0..3, inside and outside
+        inside = outside = 0
+        for ant, exp, r in split_corpus:
+            for p in [(x, y) for x in grid for y in grid] + list(r.vertices):
+                got = _split_or_none(ant, exp, p)
+                assert got == _reference_split(ant, exp, p), (ant, exp, p)
+                inside += got is not None
+                outside += got is None
+        assert inside > 1000 and outside > 1000
+
+    def test_feasible_exactly_inside_region(self, split_corpus):
+        grid = [F(3 * k, 8) for k in range(9)]
+        for ant, exp, r in split_corpus:
+            for p in product(grid, grid):
+                feasible = _split_or_none(ant, exp, p) is not None
+                assert feasible == contains(r, p), (ant, exp, p)
+
+    def test_single_user_bound_is_enforced(self):
+        # the point satisfies every row of the old constraint set but lies
+        # above D2 = min(M2, N2) = 1
+        ant = AntennaProfile(1, 1, 1, 1)
+        exp = ExponentProfile(F(1), F(0), F(1, 4), F(0))
+        point = (F(0), F(9, 8))
+        assert not contains(region_of(ant, exp), point)
+        with pytest.raises(SplitInfeasible, match="C3 user 2"):
+            split_solver(ant, exp, point)
+
+    def test_infeasible_message_lists_every_constraint(self):
+        with pytest.raises(SplitInfeasible) as info:
+            split_solver(AntennaProfile(1, 1, 1, 1),
+                         ExponentProfile.symmetric(F(1, 2)), (F(5), F(5)))
+        names = [name for name, _ in info.value.constraints]
+        assert names == [c[3] for c in split_constraints(
+            AntennaProfile(1, 1, 1, 1), ExponentProfile.symmetric(F(1, 2)),
+            (F(5), F(5)))]
+        assert "C3 user 1" in names and "C3 user 2" in names
+
+    def test_accepts_int_and_str_points(self):
+        ant = AntennaProfile(3, 3, 2, 2)
+        exp = ExponentProfile.symmetric(F(2, 3))
+        assert split_solver(ant, exp, (1, "2")).as_tuple() == \
+            (F(0), F(1), F(4, 3), F(2, 3))
+        with pytest.raises(TypeError):
+            split_solver(ant, exp, (1.0, F(2)))
+
+
+small_fracs = st.builds(F, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.tuples(*[st.integers(1, 3)] * 4),
+    alphas=st.tuples(small_fracs, small_fracs, small_fracs),
+    point=st.tuples(small_fracs, small_fracs),
+)
+def test_closed_form_matches_enumeration_on_random_rationals(counts, alphas,
+                                                             point):
+    ant = AntennaProfile(*counts)
+    exp = ExponentProfile(F(1), *alphas)
+    assert _split_or_none(ant, exp, point) == _reference_split(ant, exp, point)

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from gdofic.closed_forms import dof_region, siso_w_curve
+from gdofic.core_math import f, g
 from gdofic.region import (
     AntennaProfile,
     ExponentProfile,
+    channel_terms,
     contains,
     reciprocal,
     region_of,
@@ -43,6 +45,35 @@ class TestProfiles:
     def test_symmetric_template(self):
         e = ExponentProfile.symmetric("2/3")
         assert e.as_tuple() == (F(1), F(2, 3), F(2, 3), F(1))
+
+
+class TestChannelTerms:
+    def test_matches_direct_allocation(self):
+        ant = AntennaProfile(3, 1, 2, 2)
+        exp = ExponentProfile(F(1), F(1, 3), F(3, 2), F(3, 4))
+        # beta12 = 2/3, beta21 = 0, m12 = 2, m21 = 1, e1 = 1, e2 = 1
+        assert channel_terms(ant, exp) == (
+            f(2, (F(1, 3), 3), (F(3, 4), 2)),
+            f(1, (F(3, 2), 2), (F(1), 3)),
+            f(1, (F(2, 3), 2), (F(1), 1)),
+            f(2, (F(0), 1), (F(3, 4), 1)),
+            g(1, (F(3, 2), 2), (F(2, 3), 2), (F(1), 1)),
+            g(2, (F(1, 3), 3), (F(0), 1), (F(3, 4), 1)),
+        )
+
+    def test_bounds_read_the_terms(self):
+        ant = AntennaProfile(2, 3, 4, 2)
+        exp = ExponentProfile(F(1), F(1, 3), F(1, 2), F(3, 4))
+        mac_rx2, mac_rx1, priv1, priv2, mix1, mix2 = channel_terms(ant, exp)
+        rhs = {b.kind: b.rhs for b in region_bounds(ant, exp)}
+        assert rhs["D3"] == mac_rx2 + priv1
+        assert rhs["D4"] == mac_rx1 + priv2
+        assert rhs["D5"] == mix1 + mix2
+        assert rhs["D6"] == mac_rx1 + priv1 + mix2
+        assert rhs["D7"] == mac_rx2 + priv2 + mix1
+
+    def test_cache_is_bounded(self):
+        assert channel_terms.cache_info().maxsize == 1024
 
 
 class TestRegionBounds:
@@ -154,6 +185,42 @@ class TestContains:
                     direct = all(b.holds_at((x, y)) for b in r.bounds)
                     assert contains(r, (x, y)) == direct
                     assert polygon_contains(r.vertices, (x, y)) == direct
+
+
+    @staticmethod
+    def _direct(r, p):
+        return p[0] >= 0 and p[1] >= 0 and all(b.holds_at(p) for b in r.bounds)
+
+    @pytest.mark.parametrize("ant,exp", [
+        ((3, 3, 2, 2), (1, "2/3", "2/3", 1)),
+        ((2, 1, 1, 2), (1, "1/3", "3/4", "1/2")),
+        ((2, 2, 2, 2), (1, "1/2", "1/2", 0)),
+        ((1, 2, 3, 1), (1, "5/3", "1/4", "7/5")),
+    ])
+    def test_integer_rows_agree_on_every_bound_line(self, ant, exp):
+        r = region_of(AntennaProfile(*ant), ExponentProfile(*exp))
+        points = []
+        for b in r.bounds:
+            for t in frac_grid(F(-1), F(3), F(1, 7)):
+                if b.c2 != 0:
+                    p = (t, (b.rhs - b.c1 * t) / b.c2)
+                else:
+                    p = (b.rhs / b.c1, t)
+                assert b.slack_at(p) == 0
+                points.append(p)
+        points += [(x, -y) for x, y in points] + list(r.vertices)
+        for p in points:
+            assert contains(r, p) == self._direct(r, p), p
+            assert contains(r, (str(p[0]), str(p[1]))) == self._direct(r, p)
+        for p in itertools.product(range(-1, 4), repeat=2):
+            assert contains(r, p) == self._direct(r, (F(p[0]), F(p[1])))
+
+    def test_rejects_floats(self):
+        r = region_of(AntennaProfile(1, 1, 1, 1), ExponentProfile.symmetric(F(1, 2)))
+        with pytest.raises(TypeError):
+            contains(r, (0.5, F(0)))
+        with pytest.raises(TypeError):
+            contains(r, (F(0), 0.25))
 
 
 class TestSymmetricGdof:
